@@ -9,7 +9,10 @@ Times the two hot-loop workloads scalar vs vectorized and writes
 * **hashtable epoch**: a 1e6-op remote CAS stream (the sender's-control
   insert pattern of the paper's hashtable and Fig. 4 CAS flood), the
   ISSUE's headline point — the vectorized engine must be **>= 5x**
-  faster than the scalar event chain.
+  faster than the scalar event chain;
+* **two-sided rendezvous flood**: one 8192-msg/sync ``Isend``/``Irecv``
+  round at 1 MiB (RTS/CTS/data per message) — the roofline's two-sided
+  leg.  Its timed scalar and vectorized results must be equal.
 
 The scalar hashtable leg runs ``SCALAR_OPS`` ops and is extrapolated
 linearly to 1e6 (the scalar path is O(events) = O(ops); per-op cost is
@@ -46,14 +49,16 @@ FLOOD = {"machine": "perlmutter-gpu", "runtime": "shmem", "nbytes": 64,
 EPOCH_OPS = 1_000_000  # the 1e6-message hashtable epoch
 SCALAR_OPS = 100_000  # scalar leg sample size (extrapolated to EPOCH_OPS)
 CAS = {"machine": "perlmutter-cpu", "runtime": "one_sided"}
+RENDEZVOUS = {"machine": "perlmutter-cpu", "runtime": "two_sided",
+              "nbytes": 1 << 20, "msgs_per_sync": 8192, "iters": 1}
 
 
-def _flood(vectorized: bool):
+def _flood(vectorized: bool, shape: dict = FLOOD):
     with perf.vectorized(vectorized):
         t0 = time.perf_counter()
-        r = run_flood(get_machine(FLOOD["machine"]), FLOOD["runtime"],
-                      FLOOD["nbytes"], FLOOD["msgs_per_sync"],
-                      iters=FLOOD["iters"])
+        r = run_flood(get_machine(shape["machine"]), shape["runtime"],
+                      shape["nbytes"], shape["msgs_per_sync"],
+                      iters=shape["iters"])
         return time.perf_counter() - t0, r
 
 
@@ -90,6 +95,10 @@ def run_bench(full: bool = False) -> dict:
         epoch_scalar_sample_s, _ = _epoch(False, scalar_ops)
     with spans.span("hashtable_vectorized"):
         epoch_vec_s, _ = _epoch(True, EPOCH_OPS)
+    with spans.span("rendezvous_scalar"):
+        rdv_scalar_s, rdv_scalar = _flood(False, RENDEZVOUS)
+    with spans.span("rendezvous_vectorized"):
+        rdv_vec_s, rdv_vec = _flood(True, RENDEZVOUS)
 
     epoch_scalar_s = epoch_scalar_sample_s * (EPOCH_OPS / scalar_ops)
     flood_speedup = flood_scalar_s / flood_vec_s
@@ -112,11 +121,18 @@ def run_bench(full: bool = False) -> dict:
             "vectorized_ops_per_sec": round(EPOCH_OPS / epoch_vec_s, 1),
             "speedup": round(epoch_speedup, 2),
         },
+        "two_sided_rendezvous_flood": {
+            **RENDEZVOUS,
+            "scalar_seconds": round(rdv_scalar_s, 4),
+            "vectorized_seconds": round(rdv_vec_s, 4),
+            "speedup": round(rdv_scalar_s / rdv_vec_s, 2),
+        },
         "spans": {k: round(v, 4) for k, v in spans.totals().items()},
         "checks": {
             "vectorized_matches_scalar": parity_ok,
             "flood_vectorized_at_least_2x": flood_speedup >= 2.0,
             "hashtable_epoch_at_least_5x": epoch_speedup >= 5.0,
+            "two_sided_rendezvous_matches_scalar": rdv_vec == rdv_scalar,
         },
     }
     OUTPUT.parent.mkdir(exist_ok=True)

@@ -1,8 +1,9 @@
 """repro.perf — the vectorized bulk-transfer engine.
 
-Evaluates homogeneous message batches (flood rounds, hashtable epochs,
-CAS streams) in one pass instead of per-message event dispatch, while
-staying byte-identical to the scalar path.  See :mod:`repro.perf.engine`
+Evaluates homogeneous message batches (flood rounds, two-sided
+``Isend``/``Irecv`` batches, hashtable epochs, CAS streams) in one pass
+instead of per-message event dispatch, while staying byte-identical to
+the scalar path.  See :mod:`repro.perf.engine`
 for the exactness argument and :mod:`repro.perf.config` for the on/off
 switches.
 

@@ -16,9 +16,10 @@ Two override mechanisms exist for benchmarking and debugging:
 
 Independent of this switch, batches fall back to the scalar per-message
 path whenever exactness cannot be guaranteed for the whole job: an
-active fault plan (loss/jitter/outages need per-message draws) or an
-enabled tracer (per-message records must be emitted) — see
-:func:`bulk_enabled`.
+active fault plan (loss/jitter/outages need per-message draws), an
+enabled tracer (per-message records must be emitted), or a fabric with
+congestion control or a routing policy (per-message path and rate
+decisions) — see :func:`bulk_enabled`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,11 @@ def bulk_enabled(job) -> bool:
     * no fault injector is attached (fault draws, retransmissions and
       outage stalls are inherently per-message);
     * the job's tracer is disabled (per-message trace records cannot be
-      batch-evaluated).
+      batch-evaluated);
+    * the fabric has no congestion control and no routing policy (ECN
+      marks, backoffs and adaptive path choices depend on per-message
+      fabric state that :class:`repro.perf.engine.FabricPath` does not
+      replay).
 
     Both sides of a batch rendezvous (sender ``commit``, receiver
     ``wait_batch``) evaluate this on the *same* job, so they always
@@ -73,4 +78,6 @@ def bulk_enabled(job) -> bool:
         enabled()
         and job.fault_injector is None
         and not job.tracer.enabled
+        and job.fabric.cc is None
+        and job.fabric.routing is None
     )

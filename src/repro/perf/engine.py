@@ -32,7 +32,16 @@ construction of the call sites):
 
 * no fault injection on the job (loss/jitter draws are per-message);
 * tracer disabled (per-message records cannot be batched);
+* no congestion control and no routing policy on the fabric (ECN marks,
+  backoffs and adaptive path choices are per-message decisions;
+  :class:`FabricPath` refuses such a fabric);
 * the batch is homogeneous: one (src, dst) route, one size, one verb.
+
+Call sites: one-sided ``put_batch`` and shmem ``put_signal_batch``
+floods, CAS streams (:mod:`repro.perf.atomics`), and the two-sided
+``Isend``/``Irecv`` batch (:mod:`repro.perf.pt2pt`: eager sizes by
+closed recurrences, rendezvous sizes by a private-heap replay of the
+interleaved RTS/CTS/data reservations in scalar event order).
 
 Under that contract the bulk path is not an approximation — every float
 written into channel ``_next_free`` state, every counter, every metrics
@@ -48,26 +57,8 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from repro.comm.context import RankContext
     from repro.net.fabric import Fabric
-    from repro.net.link import Channel
 
 __all__ = ["FabricPath", "bulk_visible_last", "drain_wait_until_all", "BatchRendezvous", "rendezvous"]
-
-
-def _reserve(channel: "Channel", nbytes: float, earliest: float, atomic: bool):
-    """Replicates :meth:`repro.net.link.Channel.reserve` on the pristine
-    (fault-free) path, float-op for float-op."""
-    nf = channel._next_free
-    idx = min(range(len(nf)), key=nf.__getitem__)
-    start = max(earliest, nf[idx])
-    params = channel.params
-    gap = params.effective_atomic_gap if atomic else params.gap
-    occupancy = max(gap, nbytes * params.G)
-    nf[idx] = start + occupancy
-    channel.bytes_carried += nbytes
-    channel.messages_carried += 1
-    if channel.wait_hist is not None:
-        channel.wait_hist.observe(start - earliest)
-    return start, start + params.latency
 
 
 class FabricPath:
@@ -92,6 +83,11 @@ class FabricPath:
             raise RuntimeError(
                 "bulk engine engaged on a faulty fabric — bulk_enabled() "
                 "must gate every call site"
+            )
+        if fabric.cc is not None or fabric.routing is not None:
+            raise RuntimeError(
+                "bulk engine engaged on a fabric with a routing policy or "
+                "congestion control — bulk_enabled() must gate every call site"
             )
         self.fabric = fabric
         self.src = src
@@ -343,12 +339,15 @@ def drain_wait_until_all(
 
 
 class BatchRendezvous:
-    """Sender -> receiver handoff of a batch's arrival schedule.
+    """Handoff of a batch's record between its two sides.
 
-    The sender publishes ``(arrivals, base_signal)`` under a key
-    ``(src_rank, dst_rank, iteration)`` at its commit time; a receiver that
-    got there first parks an event and is woken by the publish.  Records
-    are consumed by the first matching wait — one batch, one waiter.
+    One side publishes a record (the shmem sender: the arrival schedule
+    and base signal; the two-sided batch: issue and delivery times, or
+    one side's entry time) under a key such as
+    ``(src_rank, dst_rank, iteration)``; a side that got there first
+    either parks on :meth:`waiter` and is woken by the publish, or polls
+    and publishes its own record.  Records are consumed by the first
+    matching poll — one batch, one consumer.
     """
 
     __slots__ = ("_records", "_waiters")
@@ -357,8 +356,8 @@ class BatchRendezvous:
         self._records: dict = {}
         self._waiters: dict = {}
 
-    def publish(self, key, arrivals: np.ndarray, base: int) -> None:
-        self._records[key] = (arrivals, base)
+    def publish(self, key, *record) -> None:
+        self._records[key] = record
         ev = self._waiters.pop(key, None)
         if ev is not None:
             ev.succeed()

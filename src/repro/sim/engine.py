@@ -67,10 +67,22 @@ class Simulator:
         float the scalar path's event chain would have produced.
         """
         ev = Event(self)
-        ev._ok = True
-        ev._value = value
-        self._schedule(ev, at=when)
+        self.trigger_at(ev, when, value)
         return ev
+
+    def trigger_at(self, event: Event, when: float, value: Any = None) -> None:
+        """Succeed an existing untriggered ``event`` at absolute time ``when``.
+
+        The :meth:`at_time` counterpart for an event a process is already
+        waiting on: the bulk engine wakes a parked batch side at its exact
+        completion time, in the heap order the scalar chain would have
+        produced.
+        """
+        if event.triggered:
+            raise SimulationError(f"event {event!r} already triggered")
+        event._ok = True
+        event._value = value
+        self._schedule(event, at=when)
 
     def all_of(self, events: list[Event]) -> AllOf:
         return AllOf(self, events)

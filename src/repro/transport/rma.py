@@ -199,11 +199,12 @@ class _BatchEndpoint(Endpoint):
     def post(self, dst):
         from repro import perf
 
-        if perf.bulk_enabled(self.ctx.job):
+        queued = self._queued.get(dst, 0)
+        if queued or perf.bulk_enabled(self.ctx.job):
             # Deferred: the batch pattern guarantees nothing runs between
             # the posts and the commit, so issuing all n puts in one bulk
             # pass at commit() reproduces the scalar issue times exactly.
-            self._queued[dst] = self._queued.get(dst, 0) + 1
+            self._queued[dst] = queued + 1
             return
         yield from self.h.put(dst, nelems=self.spec.nelems)
 

@@ -279,11 +279,12 @@ class _BatchEndpoint(Endpoint):
     def post(self, dst):
         from repro import perf
 
-        if perf.bulk_enabled(self.ctx.job):
+        queued = self._queued.get(dst, 0)
+        if queued or perf.bulk_enabled(self.ctx.job):
             # Deferred: nothing runs between the batch pattern's posts and
             # its commit, so one bulk pass at commit() reproduces the
             # scalar issue times exactly.
-            self._queued[dst] = self._queued.get(dst, 0) + 1
+            self._queued[dst] = queued + 1
             return
         yield from self.ctx.put_signal_nbi(
             self.data_win,

@@ -145,16 +145,39 @@ class _BatchEndpoint(Endpoint):
     def __init__(self, channel, ctx):
         super().__init__(channel, ctx)
         self._reqs: list = []
+        self._queued: dict[int, int] = {}
 
     def post(self, dst):
+        from repro import perf
+
+        queued = self._queued.get(dst, 0)
+        if queued or perf.bulk_enabled(self.ctx.job):
+            # Deferred: nothing runs between the batch pattern's posts and
+            # its commit, so one bulk replay at commit() reproduces the
+            # scalar issue times exactly.  (The job's bulk verdict cannot
+            # change mid-batch, so only the first post asks for it.)
+            self._queued[dst] = queued + 1
+            return
         r = yield from self.ctx.isend(dst, nbytes=self.spec.nbytes, tag=_BATCH_TAG)
         self._reqs.append(r)
 
     def commit(self, dst, it):
+        from repro.perf.pt2pt import send_batch
+
+        n = self._queued.pop(dst, 0)
+        if n:
+            yield from send_batch(self.ctx, self.channel, dst, it, n, self.spec.nbytes)
+            return
         yield from self.ctx.waitall(self._reqs)
         self._reqs = []
 
     def wait_batch(self, src, it, n):
+        from repro import perf
+        from repro.perf.pt2pt import recv_batch
+
+        if n and perf.bulk_enabled(self.ctx.job):
+            yield from recv_batch(self.ctx, self.channel, src, it, n, self.spec.nbytes)
+            return
         reqs = []
         for _ in range(n):
             r = yield from self.ctx.irecv(source=src, tag=_BATCH_TAG)
