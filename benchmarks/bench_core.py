@@ -13,6 +13,10 @@ Times the two hot-loop workloads scalar vs vectorized and writes
 * **two-sided rendezvous flood**: one 8192-msg/sync ``Isend``/``Irecv``
   round at 1 MiB (RTS/CTS/data per message) — the roofline's two-sided
   leg.  Its timed scalar and vectorized results must be equal.
+* **hashtable workload**: fig09's perlmutter-cpu one-sided case, 128
+  ranks inserting 8000 keys — the dynamic insert epoch of CAS / FAA /
+  swap / publish chains that :mod:`repro.perf.atomic_epoch` replays.
+  Its timed scalar and vectorized results must be equal.
 
 The scalar hashtable leg runs ``SCALAR_OPS`` ops and is extrapolated
 linearly to 1e6 (the scalar path is O(events) = O(ops); per-op cost is
@@ -41,6 +45,7 @@ from repro import perf
 from repro.machines import get_machine
 from repro.obs import SpanTracker
 from repro.workloads.flood import run_cas_flood, run_flood
+from repro.workloads.hashtable import HashTableConfig, run_hashtable
 
 OUTPUT = pathlib.Path(__file__).parent / "output" / "BENCH_core.json"
 
@@ -51,6 +56,8 @@ SCALAR_OPS = 100_000  # scalar leg sample size (extrapolated to EPOCH_OPS)
 CAS = {"machine": "perlmutter-cpu", "runtime": "one_sided"}
 RENDEZVOUS = {"machine": "perlmutter-cpu", "runtime": "two_sided",
               "nbytes": 1 << 20, "msgs_per_sync": 8192, "iters": 1}
+HASHTABLE = {"machine": "perlmutter-cpu", "runtime": "one_sided",
+             "nranks": 128, "total_inserts": 8000, "seed": 5}
 
 
 def _flood(vectorized: bool, shape: dict = FLOOD):
@@ -68,6 +75,31 @@ def _epoch(vectorized: bool, n_ops: int):
         r = run_cas_flood(get_machine(CAS["machine"]), CAS["runtime"],
                           n_ops=n_ops)
         return time.perf_counter() - t0, r
+
+
+def _hashtable(vectorized: bool):
+    cfg = HashTableConfig(total_inserts=HASHTABLE["total_inserts"],
+                          seed=HASHTABLE["seed"])
+    with perf.vectorized(vectorized):
+        t0 = time.perf_counter()
+        r = run_hashtable(get_machine(HASHTABLE["machine"]),
+                          HASHTABLE["runtime"], cfg, HASHTABLE["nranks"])
+        return time.perf_counter() - t0, r
+
+
+def _same_table(a, b) -> bool:
+    """Equal times, counters and stored table contents."""
+    return (
+        a.time == b.time
+        and a.per_rank == b.per_rank
+        and a.extras["values"] == b.extras["values"]
+        and a.extras["collisions"] == b.extras["collisions"]
+        and all(
+            x.tolist() == y.tolist()
+            for space in ("chains", "heaps")
+            for x, y in zip(a.extras[space], b.extras[space])
+        )
+    )
 
 
 def _parity() -> bool:
@@ -99,6 +131,10 @@ def run_bench(full: bool = False) -> dict:
         rdv_scalar_s, rdv_scalar = _flood(False, RENDEZVOUS)
     with spans.span("rendezvous_vectorized"):
         rdv_vec_s, rdv_vec = _flood(True, RENDEZVOUS)
+    with spans.span("hashtable_workload_scalar"):
+        ht_scalar_s, ht_scalar = _hashtable(False)
+    with spans.span("hashtable_workload_vectorized"):
+        ht_vec_s, ht_vec = _hashtable(True)
 
     epoch_scalar_s = epoch_scalar_sample_s * (EPOCH_OPS / scalar_ops)
     flood_speedup = flood_scalar_s / flood_vec_s
@@ -127,12 +163,19 @@ def run_bench(full: bool = False) -> dict:
             "vectorized_seconds": round(rdv_vec_s, 4),
             "speedup": round(rdv_scalar_s / rdv_vec_s, 2),
         },
+        "hashtable_workload": {
+            **HASHTABLE,
+            "scalar_seconds": round(ht_scalar_s, 4),
+            "vectorized_seconds": round(ht_vec_s, 4),
+            "speedup": round(ht_scalar_s / ht_vec_s, 2),
+        },
         "spans": {k: round(v, 4) for k, v in spans.totals().items()},
         "checks": {
             "vectorized_matches_scalar": parity_ok,
             "flood_vectorized_at_least_2x": flood_speedup >= 2.0,
             "hashtable_epoch_at_least_5x": epoch_speedup >= 5.0,
             "two_sided_rendezvous_matches_scalar": rdv_vec == rdv_scalar,
+            "hashtable_workload_matches_scalar": _same_table(ht_scalar, ht_vec),
         },
     }
     OUTPUT.parent.mkdir(exist_ok=True)

@@ -62,8 +62,11 @@ class Window:
         self.buffers = [
             np.full(count, fill, dtype=self.dtype) for _ in range(job.nranks)
         ]
-        # Outstanding RMA completion events, per (origin, target).
-        self._outstanding: dict[tuple[int, int], list[Event]] = {}
+        # Outstanding RMA completion events, per origin, then per target
+        # (a flush touches only its own origin's targets).
+        self._outstanding: list[dict[int, list[Event]]] = [
+            {} for _ in range(job.nranks)
+        ]
         # Serialisation point for atomics at each target.
         self._atomic_next_free: list[float] = [0.0] * job.nranks
         # Write watchers, per target rank.
@@ -102,32 +105,29 @@ class Window:
         return ev
 
     def _track(self, origin: int, target: int, ev: Event) -> None:
-        self._outstanding.setdefault((origin, target), []).append(ev)
+        self._outstanding[origin].setdefault(target, []).append(ev)
 
     def _pending(self, origin: int, target: int | None) -> list[Event]:
         # Failed ops (fault injection) stay pending: a flush must gather
         # them so the loss surfaces at the synchronisation point.
+        by_target = self._outstanding[origin]
         if target is None:
-            pending = [
+            return [
                 ev
-                for (o, _t), evs in self._outstanding.items()
-                if o == origin
+                for evs in by_target.values()
                 for ev in evs
                 if not ev.triggered or not ev.ok
             ]
-        else:
-            pending = [
-                ev
-                for ev in self._outstanding.get((origin, target), [])
-                if not ev.triggered or not ev.ok
-            ]
-        return pending
+        return [
+            ev
+            for ev in by_target.get(target, ())
+            if not ev.triggered or not ev.ok
+        ]
 
     def _gc(self, origin: int) -> None:
-        for key in [k for k in self._outstanding if k[0] == origin]:
-            self._outstanding[key] = [
-                ev for ev in self._outstanding[key] if not ev.triggered
-            ]
+        by_target = self._outstanding[origin]
+        for target, evs in by_target.items():
+            by_target[target] = [ev for ev in evs if not ev.triggered]
 
     # -- passive-target lock machinery ----------------------------------------
 

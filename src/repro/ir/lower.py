@@ -35,93 +35,165 @@ def _resolve(value, state):
     return value(state) if callable(value) else value
 
 
-def _exec(op: O.Op, ep, ctx, state: dict):
-    """Lower one op; returns the verb's value (generator)."""
-    if isinstance(op, O.Barrier):
-        yield from ctx.barrier()
-    elif isinstance(op, O.Compute):
-        if op.fn is not None:
-            op.fn(state)
-        if op.seconds is not None:
-            yield from ctx.compute(seconds=op.seconds)
-        else:
-            yield from ctx.compute(nbytes=op.nbytes, flops=op.flops)
-    elif isinstance(op, O.BatchPost):
-        yield from ep.post(op.dst)
-    elif isinstance(op, O.BatchCommit):
-        yield from ep.commit(op.dst, op.it)
-    elif isinstance(op, O.BatchWait):
-        yield from ep.wait_batch(op.src, op.it, op.n)
-    elif isinstance(op, O.HaloBegin):
-        yield from ep.begin(op.it)
-    elif isinstance(op, O.HaloPut):
-        yield from ep.put(op.seg, op.dst, values=_resolve(op.values, state))
-    elif isinstance(op, O.HaloFinish):
-        received = yield from ep.finish(op.it)
-        if op.on_done is not None:
-            op.on_done(state, received)
-        return received
-    elif isinstance(op, O.TripletSend):
-        yield from ep.post_msg(
-            op.dst, nbytes=op.nbytes, tag=op.tag, payload=op.payload
-        )
-    elif isinstance(op, O.TripletSendAgg):
-        yield from ep.post_msg(
-            op.dst, nbytes=op.nbytes, tag=op.tag, payload=op.payloads
-        )
-    elif isinstance(op, O.TripletRecv):
-        payload = yield from ep.recv_msg_poll(tag=op.tag)
-        if op.on_payload is not None:
+# One lowering per op class, keyed on the exact type: every op subclasses
+# ``Op`` directly, so a dict lookup replaces an isinstance ladder.  A
+# lowering returns the generator to ``yield from``: the verb's own one when
+# the op's value is the verb's, else a wrapper so the op's value is None.
+
+
+def _barrier(op, ep, ctx, state):
+    return ctx.barrier()
+
+
+def _compute(op, ep, ctx, state):
+    if op.fn is not None:
+        op.fn(state)
+    if op.seconds is not None:
+        yield from ctx.compute(seconds=op.seconds)
+    else:
+        yield from ctx.compute(nbytes=op.nbytes, flops=op.flops)
+
+
+def _batch_post(op, ep, ctx, state):
+    yield from ep.post(op.dst)
+
+
+def _batch_commit(op, ep, ctx, state):
+    yield from ep.commit(op.dst, op.it)
+
+
+def _batch_wait(op, ep, ctx, state):
+    yield from ep.wait_batch(op.src, op.it, op.n)
+
+
+def _halo_begin(op, ep, ctx, state):
+    yield from ep.begin(op.it)
+
+
+def _halo_put(op, ep, ctx, state):
+    yield from ep.put(op.seg, op.dst, values=_resolve(op.values, state))
+
+
+def _halo_finish(op, ep, ctx, state):
+    received = yield from ep.finish(op.it)
+    if op.on_done is not None:
+        op.on_done(state, received)
+    return received
+
+
+def _triplet_send(op, ep, ctx, state):
+    yield from ep.post_msg(op.dst, nbytes=op.nbytes, tag=op.tag, payload=op.payload)
+
+
+def _triplet_send_agg(op, ep, ctx, state):
+    yield from ep.post_msg(op.dst, nbytes=op.nbytes, tag=op.tag, payload=op.payloads)
+
+
+def _triplet_recv(op, ep, ctx, state):
+    payload = yield from ep.recv_msg_poll(tag=op.tag)
+    if op.on_payload is not None:
+        op.on_payload(state, payload)
+    return payload
+
+
+def _triplet_recv_agg(op, ep, ctx, state):
+    payloads = yield from ep.recv_msg_poll(tag=op.tag)
+    if op.on_payload is not None:
+        for payload in payloads:
             op.on_payload(state, payload)
-        return payload
-    elif isinstance(op, O.TripletRecvAgg):
-        payloads = yield from ep.recv_msg_poll(tag=op.tag)
-        if op.on_payload is not None:
-            for payload in payloads:
-                op.on_payload(state, payload)
-        return payloads
-    elif isinstance(op, O.MsgDrain):
-        yield from ep.drain()
-    elif isinstance(op, O.MailboxExpect):
-        ep.expect(op.msgs)
-    elif isinstance(op, O.MailboxSend):
-        yield from ep.send(
-            op.dst, op.slot, words=op.words, values=op.values,
-            meta=op.meta, tag=op.tag,
-        )
-    elif isinstance(op, O.MailboxRecv):
-        got = yield from ep.recv()
-        return got
-    elif isinstance(op, O.RoundSend):
-        yield from ep.send_round(
-            op.dst, op.rnd, words=op.words, parts=op.parts, values=op.values
-        )
-    elif isinstance(op, O.RoundRecv):
-        got = yield from ep.recv_round(
-            op.src, op.rnd, words=op.words, parts=op.parts
-        )
-        return got
-    elif isinstance(op, O.AtomicCas):
-        old = yield from ep.cas(op.space, op.dst, op.offset, op.compare, op.value)
-        return old
-    elif isinstance(op, O.AtomicFaa):
-        old = yield from ep.faa(op.space, op.dst, op.offset, op.value)
-        return old
-    elif isinstance(op, O.AtomicSwap):
-        old = yield from ep.swap(op.space, op.dst, op.offset, op.value)
-        return old
-    elif isinstance(op, O.AtomicPublish):
-        yield from ep.publish(op.space, op.dst, op.values, offset=op.offset)
-    elif isinstance(op, O.AtomicStream):
-        out = yield from ep.cas_stream(op.space, op.dst, op.offset, list(op.ops))
-        if op.out is not None:
-            state[op.out] = out
-        return out
-    elif isinstance(op, O.AllreduceSum):
-        got = yield from ctx.allreduce_sum(_resolve(op.value, state))
-        return got
-    else:  # pragma: no cover - vocabulary and dispatch move together
+    return payloads
+
+
+def _msg_drain(op, ep, ctx, state):
+    yield from ep.drain()
+
+
+def _mailbox_expect(op, ep, ctx, state):
+    ep.expect(op.msgs)
+    return iter(())
+
+
+def _mailbox_send(op, ep, ctx, state):
+    yield from ep.send(
+        op.dst, op.slot, words=op.words, values=op.values, meta=op.meta, tag=op.tag,
+    )
+
+
+def _mailbox_recv(op, ep, ctx, state):
+    return ep.recv()
+
+
+def _round_send(op, ep, ctx, state):
+    yield from ep.send_round(
+        op.dst, op.rnd, words=op.words, parts=op.parts, values=op.values
+    )
+
+
+def _round_recv(op, ep, ctx, state):
+    return ep.recv_round(op.src, op.rnd, words=op.words, parts=op.parts)
+
+
+def _atomic_cas(op, ep, ctx, state):
+    return ep.cas(op.space, op.dst, op.offset, op.compare, op.value)
+
+
+def _atomic_faa(op, ep, ctx, state):
+    return ep.faa(op.space, op.dst, op.offset, op.value)
+
+
+def _atomic_swap(op, ep, ctx, state):
+    return ep.swap(op.space, op.dst, op.offset, op.value)
+
+
+def _atomic_publish(op, ep, ctx, state):
+    yield from ep.publish(op.space, op.dst, op.values, offset=op.offset)
+
+
+def _atomic_stream(op, ep, ctx, state):
+    out = yield from ep.cas_stream(op.space, op.dst, op.offset, list(op.ops))
+    if op.out is not None:
+        state[op.out] = out
+    return out
+
+
+def _allreduce_sum(op, ep, ctx, state):
+    return ctx.allreduce_sum(_resolve(op.value, state))
+
+
+_LOWERING = {
+    O.Barrier: _barrier,
+    O.Compute: _compute,
+    O.BatchPost: _batch_post,
+    O.BatchCommit: _batch_commit,
+    O.BatchWait: _batch_wait,
+    O.HaloBegin: _halo_begin,
+    O.HaloPut: _halo_put,
+    O.HaloFinish: _halo_finish,
+    O.TripletSend: _triplet_send,
+    O.TripletSendAgg: _triplet_send_agg,
+    O.TripletRecv: _triplet_recv,
+    O.TripletRecvAgg: _triplet_recv_agg,
+    O.MsgDrain: _msg_drain,
+    O.MailboxExpect: _mailbox_expect,
+    O.MailboxSend: _mailbox_send,
+    O.MailboxRecv: _mailbox_recv,
+    O.RoundSend: _round_send,
+    O.RoundRecv: _round_recv,
+    O.AtomicCas: _atomic_cas,
+    O.AtomicFaa: _atomic_faa,
+    O.AtomicSwap: _atomic_swap,
+    O.AtomicPublish: _atomic_publish,
+    O.AtomicStream: _atomic_stream,
+    O.AllreduceSum: _allreduce_sum,
+}
+
+
+def _exec(op: O.Op, ep, ctx, state: dict):
+    """Lower one op; returns the generator that runs the verb."""
+    lower = _LOWERING.get(type(op))
+    if lower is None:  # pragma: no cover - vocabulary and dispatch move together
         raise TypeError(f"no lowering for op {type(op).__name__}")
+    return lower(op, ep, ctx, state)
 
 
 class Emitter:
@@ -142,10 +214,10 @@ class Emitter:
         self.counts = counts if counts is not None else {}
 
     def emit(self, op: O.Op):
+        """Count ``op`` and return its lowering generator (``yield from`` it)."""
         kind = type(op).__name__
         self.counts[kind] = self.counts.get(kind, 0) + 1
-        result = yield from _exec(op, self.ep, self.ctx, self.state)
-        return result
+        return _exec(op, self.ep, self.ctx, self.state)
 
     # -- job-wide ------------------------------------------------------
     def barrier(self):
@@ -207,6 +279,18 @@ class Emitter:
             space=space, dst=dst, offset=offset, n=len(ops), ops=ops
         ))
 
+    def atomic_epoch(self, fn):
+        """Job-collective insert epoch: barrier, ``fn(verbs)``, barrier.
+
+        ``fn`` is a generator function whose ``verbs`` offer only
+        ``rank`` and ``cas``/``faa``/``swap``/``publish``.  Returns
+        ``(fn's result, elapsed)``, elapsed timed between the barriers.
+        The endpoint may replay the whole epoch on the bulk engine
+        (:mod:`repro.perf.atomic_epoch`).  The epoch is not an op: its
+        barriers and atomics are counted under their own kinds.
+        """
+        return self.ep.atomic_epoch(self, fn)
+
 
 def lower_rank(ctx, chan, program: IRProgram, counts: dict):
     """The per-rank generator handed to ``job.run``."""
@@ -221,7 +305,7 @@ def lower_rank(ctx, chan, program: IRProgram, counts: dict):
     def run_op(op):
         kind = type(op).__name__
         counts[kind] = counts.get(kind, 0) + 1
-        yield from _exec(op, ep, ctx, state)
+        return _exec(op, ep, ctx, state)
 
     for op in program.prologue[ctx.rank]:
         yield from run_op(op)

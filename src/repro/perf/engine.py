@@ -35,13 +35,20 @@ construction of the call sites):
 * no congestion control and no routing policy on the fabric (ECN marks,
   backoffs and adaptive path choices are per-message decisions;
   :class:`FabricPath` refuses such a fabric);
-* the batch is homogeneous: one (src, dst) route, one size, one verb.
+* the batch is homogeneous: one (src, dst) route, one size, one verb —
+  or, for a private-heap replay, closed: nothing outside the replay can
+  schedule an event while it runs (the atomic insert epoch checks that
+  the simulator heap is otherwise empty and the channel's windows have
+  no write watchers when its last rank reaches the opening barrier).
 
 Call sites: one-sided ``put_batch`` and shmem ``put_signal_batch``
-floods, CAS streams (:mod:`repro.perf.atomics`), and the two-sided
+floods, CAS streams (:mod:`repro.perf.atomics`), the two-sided
 ``Isend``/``Irecv`` batch (:mod:`repro.perf.pt2pt`: eager sizes by
 closed recurrences, rendezvous sizes by a private-heap replay of the
-interleaved RTS/CTS/data reservations in scalar event order).
+interleaved RTS/CTS/data reservations in scalar event order), and the
+job-wide atomic insert epoch behind ``Emitter.atomic_epoch``
+(:mod:`repro.perf.atomic_epoch`: every rank's CAS / FAA / swap /
+publish chain replayed on one private heap in scalar event order).
 
 Under that contract the bulk path is not an approximation — every float
 written into channel ``_next_free`` state, every counter, every metrics

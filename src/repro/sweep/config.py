@@ -47,6 +47,21 @@ def _worker_init() -> None:
     _session._ACTIVE.clear()
 
 
+def kill_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down at once, terminating its worker processes.
+
+    ``shutdown`` alone lets a worker finish the point it is running; a
+    point abandoned on timeout (or a crashed pool's survivors) must not
+    outlive the sweep, and a worker cannot be interrupted any other way.
+    """
+    procs = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        proc.terminate()
+    for proc in procs:
+        proc.join()
+
+
 @dataclass
 class ExecutionConfig:
     """How sweeps execute: worker count, result cache, progress output."""
@@ -71,13 +86,15 @@ class ExecutionConfig:
         return self._pool
 
     def reset_pool(self) -> None:
-        """Discard the pool (broken or not); ``pool()`` recreates it.
+        """Discard the pool (broken or not) and terminate its workers;
+        ``pool()`` recreates it.
 
-        The executor calls this after a :class:`BrokenProcessPool` so the
-        next sweep in the same ``execution()`` block gets live workers.
+        The executor calls this after a :class:`BrokenProcessPool` or a
+        timed-out point, so the next sweep in the same ``execution()``
+        block gets live workers and no abandoned point keeps running.
         """
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            kill_pool(self._pool)
             self._pool = None
 
     def close(self) -> None:

@@ -36,7 +36,7 @@ from typing import Any
 
 from repro import obs
 from repro.sweep.cache import ResultCache
-from repro.sweep.config import _worker_init, current_execution
+from repro.sweep.config import _worker_init, current_execution, kill_pool
 from repro.sweep.spec import PointRunner, SweepPoint, SweepSpec
 
 __all__ = ["SweepError", "SweepResult", "SweepStats", "run_sweep"]
@@ -221,10 +221,12 @@ def run_sweep(
     only the true crasher is failed.
 
     ``timeout`` bounds each point's wall-clock seconds in parallel mode
-    (the result is marked/raised as timed out; the stuck worker keeps its
-    slot until it finishes, so the *next* points may start late).  Serial
-    execution cannot preempt a running point, so ``timeout`` is ignored
-    there.
+    (the result is marked/raised as timed out).  A worker cannot be
+    interrupted, so the stuck worker keeps its slot while the other points
+    drain (they may start late) and is terminated when the sweep returns
+    or raises — with the whole owned pool, or by resetting the ambient
+    one.  Serial execution cannot preempt a running point, so ``timeout``
+    is ignored there.
 
     ``spill_path`` streams every completed point (cache hits included)
     to a JSON Lines file as it lands, flushed per line — a crash leaves
@@ -377,12 +379,13 @@ def _run_parallel(
         )
     queue = list(pending)
     crashes = 0
-    abandoned = 0
+    abandoned: list = []  # timed-out futures, counted before any raise
     try:
         while queue:
             try:
-                abandoned += _drain_pool(
-                    pool, spec, queue, results, cache, on_error, timeout, jobs
+                _drain_pool(
+                    pool, spec, queue, results, cache, on_error, timeout, jobs,
+                    abandoned,
                 )
                 break
             except BrokenProcessPool as exc:
@@ -411,10 +414,16 @@ def _run_parallel(
                     _run_isolated(queue, results, cache)
                     break
     finally:
-        if owned:
-            # Abandoned (timed-out) futures still occupy workers; waiting
-            # on them would stall the caller indefinitely.
-            pool.shutdown(wait=abandoned == 0, cancel_futures=abandoned > 0)
+        if abandoned:
+            # Timed-out points still occupy workers: waiting on them would
+            # stall the caller for the point's full run, and leaving them
+            # would orphan the work.  Terminate the workers that hold them.
+            if owned:
+                kill_pool(pool)
+            else:
+                cfg.reset_pool()
+        elif owned:
+            pool.shutdown(wait=True)
 
 
 def _run_isolated(queue, results, cache) -> None:
@@ -486,9 +495,13 @@ def _drain_chunked(pool, spec, queue, results, cache, on_error, jobs) -> None:
 
 
 def _drain_pool(
-    pool, spec, queue, results, cache, on_error, timeout, jobs
-) -> int:
-    """Submit ``queue`` and collect everything; returns #abandoned futures.
+    pool, spec, queue, results, cache, on_error, timeout, jobs, abandoned
+) -> None:
+    """Submit ``queue`` and collect everything.
+
+    Timed-out futures are appended to ``abandoned`` before any
+    :class:`SweepError` is raised, so the caller can terminate the
+    workers still running them.
 
     Without a per-point ``timeout`` the queue is dispatched as chunks
     (see :func:`_execute_chunk`); timeout enforcement needs a future per
@@ -496,7 +509,7 @@ def _drain_pool(
     """
     if timeout is None:
         _drain_chunked(pool, spec, queue, results, cache, on_error, jobs)
-        return 0
+        return
     futures = {
         pool.submit(_execute_point, pt.runner, pt.params_dict, pt.seed): (
             i,
@@ -507,7 +520,6 @@ def _drain_pool(
     }
     not_done = set(futures)
     started: dict[Any, float] = {}
-    abandoned = 0
     while not_done:
         tick = _TIMEOUT_TICK if timeout is not None else None
         done, not_done = wait(not_done, timeout=tick, return_when=FIRST_COMPLETED)
@@ -542,7 +554,7 @@ def _drain_pool(
         for fut in expired:
             i, pt, _key = futures[fut]
             not_done.discard(fut)
-            abandoned += 1
+            abandoned.append(fut)
             if on_error == "raise":
                 for f in not_done:
                     f.cancel()
@@ -553,4 +565,3 @@ def _drain_pool(
                 results, i, pt,
                 f"timed out after {timeout:g}s", duration=timeout,
             )
-    return abandoned

@@ -408,6 +408,12 @@ class Endpoint:
             out.append(old)
         return out
 
+    def atomic_epoch(self, em, fn):
+        """Job-collective epoch of blocking atomics (the hashtable insert
+        epoch): barrier, ``fn(verbs)``, barrier on every rank; returns
+        ``(fn's result, elapsed)``.  See :meth:`repro.ir.lower.Emitter.atomic_epoch`."""
+        self._unsupported("atomic_epoch")
+
     def post_msg(self, dst: int, *, nbytes: float, payload=None, tag: int = 0):
         self._unsupported("post_msg")
 

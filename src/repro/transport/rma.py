@@ -270,6 +270,11 @@ class _AtomicEndpoint(Endpoint):
         old = yield from self.h[space].cas_blocking(dst, offset, compare, value)
         return old
 
+    def atomic_epoch(self, em, fn):
+        from repro.perf.atomic_epoch import atomic_epoch
+
+        return atomic_epoch(self, em, fn)
+
     def cas_stream(self, space, dst, offset, ops):
         from repro import perf
         from repro.perf.atomics import bulk_cas_stream

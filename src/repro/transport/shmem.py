@@ -407,6 +407,11 @@ class _AtomicEndpoint(Endpoint):
         )
         return old
 
+    def atomic_epoch(self, em, fn):
+        from repro.perf.atomic_epoch import atomic_epoch
+
+        return atomic_epoch(self, em, fn)
+
     def cas_stream(self, space, dst, offset, ops):
         from repro import perf
         from repro.perf.atomics import bulk_cas_stream

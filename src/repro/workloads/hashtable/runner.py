@@ -41,6 +41,7 @@ from repro.ir.lower import run_program
 from repro.ir.program import IRProgram, Region, static_program
 from repro.machines.base import MachineModel
 from repro.transport import AtomicDomainSpec, SpaceSpec
+from repro.transport.registry import get_backend
 from repro.workloads.base import WorkloadResult
 from repro.workloads.hashtable.table import (
     EMPTY,
@@ -126,13 +127,13 @@ def _atomics_body(geom: TableGeometry, keys_by_rank):
 
     Dynamic IR body — the CAS result steers collision handling, so the
     op stream only exists at run time (passes skip it; the Emitter
-    still lowers and counts every op)."""
+    still lowers and counts every op).  The inserts run as one
+    job-collective atomic epoch (barrier, inserts, barrier), which the
+    bulk engine may replay exactly (:mod:`repro.perf.atomic_epoch`)."""
 
-    def body(ctx, em, state):
-        yield from em.barrier()
-        t0 = ctx.sim.now
+    def inserts(em):
         collisions = 0
-        for key in keys_by_rank[ctx.rank]:
+        for key in keys_by_rank[em.rank]:
             key = int(key)
             r, s = geom.locate(key)
             old = yield from em.cas("table", r, s, EMPTY, key)
@@ -148,8 +149,10 @@ def _atomics_body(geom: TableGeometry, keys_by_rank):
                 yield from em.publish(
                     "heap", r, np.array([key, prev], dtype=np.int64), offset=2 * idx
                 )
-        insert_time = ctx.sim.now - t0
-        yield from em.barrier()
+        return collisions
+
+    def body(ctx, em, state):
+        collisions, insert_time = yield from em.atomic_epoch(inserts)
         return {"time": insert_time, "collisions": collisions}
 
     return body
@@ -176,8 +179,6 @@ def build_hashtable_program(
     """Emit the insert pattern as IR; the algorithm (atomics vs
     owner-routed triplets) branches on the backend's caps exactly as the
     hand-written program branched on ``ep.caps.remote_atomics``."""
-    from repro.transport.registry import get_backend
-
     spec = _domain_spec(geom)
     meta = {"total_keys": sum(len(k) for k in keys_by_rank), "window": window}
     if get_backend(runtime).caps.remote_atomics:
@@ -289,7 +290,13 @@ def run_hashtable(
     keys_by_rank = generate_keys(cfg, nranks)
     if placement is None:
         placement = "spread" if machine.is_gpu_machine else "block"
-    incoming = _plan_rounds(geom, keys_by_rank, nranks, cfg.sync_window)
+    # Only the owner-routed (two-sided) program needs the per-round
+    # message counts; the atomics program ignores them.
+    incoming = (
+        None
+        if get_backend(runtime).caps.remote_atomics
+        else _plan_rounds(geom, keys_by_rank, nranks, cfg.sync_window)
+    )
     program = build_hashtable_program(
         runtime, geom, keys_by_rank, incoming, cfg.sync_window, nranks
     )

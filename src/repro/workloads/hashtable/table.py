@@ -53,8 +53,8 @@ class TableGeometry:
         if key == EMPTY:
             raise ValueError("key 0 is reserved for empty slots")
         h = (key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        idx = h % self.total_slots
-        return int(idx // self.slots_per_rank), int(idx % self.slots_per_rank)
+        slots = self.slots_per_rank
+        return divmod(int(h % (self.nranks * slots)), slots)
 
     @classmethod
     def for_inserts(

@@ -15,7 +15,8 @@ import itertools
 import numpy as np
 import pytest
 
-from repro import obs, perf
+from repro import faults, obs, perf
+from repro.cluster import Cluster
 from repro.comm.job import Job
 from repro.experiments.ablations import _with_hw_put_signal
 from repro.ir.lower import lower_rank, run_program
@@ -27,6 +28,8 @@ from repro.net.topology import TopologySpec
 from repro.perf.engine import FabricPath
 from repro.workloads.flood import build_flood_program, run_cas_flood, run_flood
 from repro.workloads.hashtable import HashTableConfig, run_hashtable
+from repro.workloads.hashtable.runner import build_hashtable_program, generate_keys
+from repro.workloads.hashtable.table import TableGeometry
 from repro.workloads.stencil import ProcessGrid, StencilConfig, run_stencil
 
 # (backend, machine factory) — every registered transport backend.
@@ -262,3 +265,197 @@ def test_two_sided_batch_parity_under_exact_ties(endpoints):
 
         scalar, vector = _both(run)
         assert scalar == vector, (lat, isend, irecv, nbytes, n)
+
+
+# ---------------------------------------------------------------------------
+# atomic hashtable insert epoch: private-heap replay
+# ---------------------------------------------------------------------------
+
+DRAGONFLY = "perlmutter-cpu-x8@dragonfly(4,2,2)"
+
+
+def _hashtable_program(backend, cfg, nranks):
+    geom = TableGeometry.for_inserts(
+        nranks, cfg.total_inserts, load_factor=cfg.load_factor
+    )
+    keys = generate_keys(cfg, nranks)
+    return build_hashtable_program(backend, geom, keys, None, cfg.sync_window, nranks)
+
+
+def _hashtable_run(machine_factory, backend, nranks, inserts, placement):
+    """Everything an insert epoch writes: the workload result, then one
+    observed run's rank results and counters, the four spaces, the atomic
+    units, the copy engines, fabric totals, links and metric snapshot."""
+    cfg = HashTableConfig(total_inserts=inserts, seed=3)
+    res = run_hashtable(machine_factory(), backend, cfg, nranks, placement=placement)
+    with obs.observe() as session:
+        run = run_program(
+            machine_factory(), _hashtable_program(backend, cfg, nranks),
+            placement=placement,
+        )
+    job, chan = run.job, run.chan
+    return (
+        res.time,
+        res.per_rank,
+        res.extras["collisions"],
+        res.extras["values"],
+        [a.tolist() for a in res.extras["chains"]],
+        [a.tolist() for a in res.extras["heaps"]],
+        run.result.results,
+        run.result.per_rank,
+        {s: [chan.array(s, r).tolist() for r in range(nranks)] for s in chan.wins},
+        {s: win._atomic_next_free for s, win in chan.wins.items()},
+        [ctx._copy_next_free for ctx in job.contexts],
+        job.fabric.total_messages,
+        job.fabric.total_bytes,
+        job.fabric.link_stats(),
+        session.metrics.snapshot(),
+    )
+
+
+# (backend, machine, placement, ranks); P=128 x 8000 inserts is fig09's case.
+HASHTABLE_CASES = [
+    *[("one_sided", "perlmutter-cpu", "block", p) for p in (1, 2, 3, 8, 128)],
+    # copy_per_byte > 0: published elements wait on the target's copy engine.
+    *[("one_sided", "summit-cpu", "block", p) for p in (2, 3, 8)],
+    # Multi-hop routes plus injection ports.
+    *[("one_sided", DRAGONFLY, "block", p) for p in (1, 2, 3, 8, 128)],
+    *[("shmem", "perlmutter-gpu", "spread", p) for p in (1, 2, 3)],
+    # P=6 spans both sockets: requests cross the X-Bus.
+    *[("shmem", "summit-gpu", "spread", p) for p in (1, 2, 3, 6)],
+    *[("stream_triggered", "perlmutter-gpu", "spread", p) for p in (1, 2, 3)],
+    ("stream_triggered", "summit-gpu", "spread", 6),
+]
+
+
+@pytest.mark.parametrize(
+    "backend,machine,placement,nranks",
+    HASHTABLE_CASES,
+    ids=[f"{b}-{m}-P{p}" for b, m, _pl, p in HASHTABLE_CASES],
+)
+def test_hashtable_epoch_parity(backend, machine, placement, nranks):
+    if nranks == 128:
+        inserts = 8000 if machine == "perlmutter-cpu" else 2000
+    else:
+        inserts = 150 * nranks + 7
+    scalar, vector = _both(
+        lambda: _hashtable_run(
+            lambda: get_machine(machine), backend, nranks, inserts, placement
+        )
+    )
+    assert scalar == vector
+
+
+def _dyadic_atomic_machine(lat, fetch, apply, put, flush, wake, copy, endpoints):
+    """Full mesh (or one loopback endpoint), every cost a small multiple of
+    2**-22 s: requests from symmetric ranks land on one target at the same
+    float, so the replay must break the tie the way the scalar heap does."""
+    q = 2.0 ** -22
+    link = LinkParams(latency=lat * q, bandwidth=2.0 ** 28)
+    topo = TopologySpec("dyadic", loopback=link)
+    for a, b in itertools.combinations("abcd", 2):
+        topo.add_link(a, b, link)
+    costs = dataclasses.replace(
+        get_machine("perlmutter-cpu").runtimes["one_sided"],
+        fetch_op=fetch * q, atomic_apply=apply * q, put=put * q,
+        flush=flush * q, sync_enter=wake * q, wait_per_req=0.0,
+        copy_per_byte=copy * q / 16,
+    )
+    return MachineModel(
+        name="dyadic", description="exact-tie costs", topology=topo,
+        compute_endpoints=list(endpoints), runtimes={"one_sided": costs},
+        cores_per_endpoint=4, mem_bandwidth_per_endpoint=1e11,
+    )
+
+
+@pytest.mark.parametrize("endpoints", ["abcd", "a"], ids=["mesh", "loopback"])
+def test_hashtable_epoch_parity_under_exact_ties(endpoints):
+    for lat, fetch, apply, put, flush, wake, copy in itertools.product(
+        [1, 2], [0, 1], [1, 2], [0, 1], [0, 1], [0, 1], [0, 1]
+    ):
+        def run():
+            machine = _dyadic_atomic_machine(
+                lat, fetch, apply, put, flush, wake, copy, endpoints
+            )
+            cfg = HashTableConfig(total_inserts=40, load_factor=1.0, seed=1)
+            res = run_program(
+                machine, _hashtable_program("one_sided", cfg, 4), placement="spread"
+            )
+            return (
+                res.result.results,
+                res.result.per_rank,
+                {s: [res.chan.array(s, r).tolist() for r in range(4)]
+                 for s in res.chan.wins},
+                res.job.fabric.link_stats(),
+            )
+
+        scalar, vector = _both(run)
+        assert scalar == vector, (lat, fetch, apply, put, flush, wake, copy)
+
+
+def test_hashtable_takes_the_bulk_path():
+    """fig09's P=128 case costs a few events per rank in bulk and the
+    full per-insert event chain in scalar, so a silent fallback cannot
+    pass as a speed-up."""
+    nranks, inserts = 128, 8000
+    program = _hashtable_program("one_sided", HashTableConfig(total_inserts=inserts), nranks)
+
+    def run():
+        return run_program(get_machine("perlmutter-cpu"), program, placement="block").result
+
+    scalar, bulk = _both(run)
+    assert bulk.events_processed < 20 * nranks
+    assert scalar.events_processed > 5 * inserts
+    assert bulk.results == scalar.results
+
+
+def _cluster_hashtables(inserts):
+    """Two hashtable jobs co-scheduled on one simulator and fabric."""
+    cluster = Cluster(DRAGONFLY)
+    for name in ("a", "b"):
+        program = _hashtable_program(
+            "one_sided", HashTableConfig(total_inserts=inserts, seed=len(name)), 4
+        )
+
+        def make(job, program=program):
+            chan = job.channel(program.spec)
+            return lambda ctx: lower_rank(ctx, chan, program, {})
+
+        cluster.submit(name, make, nranks=4, runtime="one_sided")
+    out = cluster.run()
+    return {k: (r.results, r.per_rank, r.events_processed) for k, r in out.items()}
+
+
+@pytest.mark.parametrize("setting", ["faults", "tracer", "congestion", "cluster"])
+def test_hashtable_epoch_stays_scalar(setting):
+    """Each setting breaks the closed-epoch contract — per-message fault
+    draws, per-message trace records, per-message ECN decisions, another
+    job's events on the shared heap — so the epoch runs scalar, with the
+    same result either way."""
+    inserts = 300
+    cfg = HashTableConfig(total_inserts=inserts, seed=4)
+    program = _hashtable_program("one_sided", cfg, 4)
+
+    def run():
+        if setting == "cluster":
+            return _cluster_hashtables(inserts)
+        if setting == "congestion":
+            job = Job(
+                get_machine(DRAGONFLY), 4, "one_sided", placement="block",
+                congestion=CongestionConfig(ecn_threshold=1e-6),
+            )
+            result = job.run(lower_rank, job.channel(program.spec), program, {})
+            return result.results, result.per_rank, result.events_processed
+        if setting == "faults":
+            # Not clean (an outage window), but it opens long after the run.
+            scope = faults.inject(faults.FaultPlan.uniform(down=((1.0, 2.0),)))
+        else:
+            scope = obs.observe(obs.Obs(trace=True))
+        with scope:
+            result = run_program(get_machine("perlmutter-cpu"), program).result
+        return result.results, result.per_rank, result.events_processed
+
+    scalar, vector = _both(run)
+    assert scalar == vector
+    events = [v[2] for v in vector.values()] if setting == "cluster" else [vector[2]]
+    assert all(n > 5 * inserts for n in events)

@@ -214,8 +214,33 @@ class TestTimeout:
         assert all(by_x[x].ok for x in (1, 3, 4))
 
     def test_timeout_raises_by_default(self):
+        import time
+
+        t0 = time.perf_counter()
         with pytest.raises(SweepError, match="timed out"):
             run_sweep(_spec(runner=_sleep_on_two), jobs=2, timeout=1.0)
+        assert time.perf_counter() - t0 < 10.0  # never waits out the sleep
+
+    def test_keep_mode_leaves_no_worker_running(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        results = run_sweep(
+            _spec(runner=_sleep_on_two), jobs=2, on_error="keep", timeout=1.0
+        )
+        assert "timed out" in {r.params["x"]: r for r in results}[2].error
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_ambient_pool_reset_after_timeout(self):
+        import time
+
+        t0 = time.perf_counter()
+        with execution(jobs=2) as cfg:
+            with pytest.raises(SweepError, match="timed out"):
+                run_sweep(_spec(runner=_sleep_on_two), jobs=2, timeout=1.0)
+            assert cfg._pool is None  # the stuck worker went with it
+            assert _values(run_sweep(_spec(), jobs=2)) == _values(run_sweep(_spec()))
+        assert time.perf_counter() - t0 < 10.0
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeout"):
